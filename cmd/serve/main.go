@@ -1,6 +1,6 @@
 // Command serve runs the simulation-as-a-service daemon
 // (internal/serve): an HTTP API that accepts scenario specs, executes
-// them through the checkpointing runner with bounded concurrency, and
+// them through a checkpointed scenario.Run with bounded concurrency, and
 // streams per-round telemetry over Server-Sent Events.
 //
 // Usage:

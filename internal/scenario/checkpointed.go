@@ -8,20 +8,18 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"time"
 
 	"congame/internal/checkpoint"
 	"congame/internal/dynamics"
 	"congame/internal/fluid"
-	"congame/internal/obs"
 )
 
 // ErrSuspended reports a checkpointed run that stopped on context
-// cancellation after persisting its progress; invoking RunCheckpointed
-// again with the same spec and state directory resumes it.
+// cancellation after persisting its progress; invoking Run again with the
+// same spec and state directory resumes it.
 var ErrSuspended = errors.New("scenario: run suspended")
 
-// CheckpointConfig configures RunCheckpointed's persistence.
+// CheckpointConfig configures a checkpointed Run (Options.Checkpoint).
 type CheckpointConfig struct {
 	// Dir is the state directory holding the progress manifest
 	// (checkpoint.json). Required; created if missing.
@@ -160,6 +158,9 @@ type manifest struct {
 
 	Done []repRecord `json:"done"`
 	Snap *snapRecord `json:"snapshot,omitempty"`
+
+	path  string // the manifest file; not persisted
+	every int    // snapshot cadence in rounds; not persisted
 }
 
 func (m *manifest) matches(s *Spec, cells int) error {
@@ -172,8 +173,12 @@ func (m *manifest) matches(s *Spec, cells int) error {
 	return nil
 }
 
-// find returns the completed record for (cell, rep), if any.
+// find returns the completed record for (cell, rep), if any. A nil
+// manifest (an uncheckpointed run) holds none.
 func (m *manifest) find(cell, rep int) *repRecord {
+	if m == nil {
+		return nil
+	}
 	for i := range m.Done {
 		if m.Done[i].Cell == cell && m.Done[i].Rep == rep {
 			return &m.Done[i]
@@ -182,14 +187,51 @@ func (m *manifest) find(cell, rep int) *repRecord {
 	return nil
 }
 
+// record appends a finished replication (with its drift summary, when
+// the spec tracks drift) to the manifest, drops the replication's
+// now-stale snapshot, and saves. A nil manifest records nothing.
+func (m *manifest) record(cell, rep int, res dynamics.RunResult, drift *fluid.Drift) error {
+	if m == nil {
+		return nil
+	}
+	rec := repRecord{Cell: cell, Rep: rep, Result: toRunRecord(res)}
+	if drift != nil {
+		dr := toDriftRecord(*drift)
+		rec.Drift = &dr
+	}
+	m.Done = append(m.Done, rec)
+	if m.Snap != nil && m.Snap.Cell == cell && m.Snap.Rep == rep {
+		m.Snap = nil
+	}
+	return m.save()
+}
+
+// saveSnapshot stores a mid-replication snapshot in the manifest and
+// writes it out.
+func (m *manifest) saveSnapshot(snap *checkpoint.Snapshot, cell, rep int, last dynamics.RoundStats) error {
+	m.Snap = &snapRecord{Cell: cell, Rep: rep, Last: toStatsRecord(last), Data: snap.Encode()}
+	return m.save()
+}
+
+// suspension reports a checkpointed run's cancellation as ErrSuspended.
+// runner.Map's poll before each replication returns the bare context
+// error; a mid-replication cancellation already wraps ErrSuspended.
+func (m *manifest) suspension(err error, cell int) error {
+	if m == nil || errors.Is(err, ErrSuspended) ||
+		!(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+		return err
+	}
+	return fmt.Errorf("%w at cell %d: %w", ErrSuspended, cell, err)
+}
+
 // save atomically replaces the manifest file (temp + fsync + rename, the
 // same protocol as checkpoint.WriteFile).
-func (m *manifest) save(path string) error {
+func (m *manifest) save() error {
 	data, err := json.Marshal(m)
 	if err != nil {
 		return fmt.Errorf("scenario: checkpoint manifest: %w", err)
 	}
-	if err := checkpoint.WriteBytes(path, data); err != nil {
+	if err := checkpoint.WriteBytes(m.path, data); err != nil {
 		return fmt.Errorf("scenario: checkpoint manifest: %w", err)
 	}
 	return nil
@@ -210,65 +252,36 @@ func loadManifest(path string) (*manifest, error) {
 	return m, nil
 }
 
-// RunCheckpointed executes the spec like Run but persists progress into
-// cfg.Dir so an interrupted run resumes where it left off, producing a
-// table byte-identical to an uninterrupted Run of the same spec.
-//
-// Granularity: completed replications are recorded in the manifest and
-// never re-executed. Within an in-flight replication of the engine and
-// fluid families a binary snapshot (internal/checkpoint) is written every
-// cfg.Every rounds and on context cancellation, and a resume restores it
-// and continues bit-identically — including the "quiet" stop condition,
-// whose trailing zero-migration streak rides along in the snapshot.
-// Sequential-family replications, the traced replication, and
-// drift-tracked replications re-run from round 0 on resume (their
-// observer state is not snapshotted); determinism makes the re-run
-// bit-identical, it just repeats work.
-//
-// Replications run sequentially (the spec's par is ignored); the engine
-// worker count is unconstrained because trajectories are worker-invariant.
-// On cancellation the error wraps both ErrSuspended and ctx.Err().
-func RunCheckpointed(ctx context.Context, spec *Spec, opts Options, cfg CheckpointConfig) (*Result, error) {
-	if spec == nil {
-		return nil, fmt.Errorf("%w: nil spec", ErrInvalid)
+// openManifest loads (or starts) the progress manifest a checkpointed
+// run of the effective spec s persists into cfg.Dir. A nil cfg means an
+// uncheckpointed run: no manifest.
+func openManifest(cfg *CheckpointConfig, s *Spec, cells int) (*manifest, error) {
+	if cfg == nil {
+		return nil, nil
 	}
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("%w: checkpointed run needs a state directory", ErrInvalid)
 	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	every := cfg.Every
-	if every <= 0 {
-		every = DefaultCheckpointEvery
-	}
-
-	s := spec.Effective(opts.Quick)
-	s.Par = 1 // sequential by construction; output is par-invariant anyway
-	if opts.Workers != 0 {
-		s.Workers = opts.Workers
-	}
-	cells, err := Grid(s, false)
-	if err != nil {
-		return nil, err
-	}
-
-	mpath := filepath.Join(cfg.Dir, manifestName)
-	m, err := loadManifest(mpath)
+	path := filepath.Join(cfg.Dir, manifestName)
+	m, err := loadManifest(path)
 	if err != nil {
 		return nil, err
 	}
 	if m == nil {
 		m = &manifest{
 			Name: s.Name, Version: s.Version, Family: s.Instance.Family,
-			Dynamics: s.Dynamics.Kind, Seed: s.Seed, Cells: len(cells),
+			Dynamics: s.Dynamics.Kind, Seed: s.Seed, Cells: cells,
 			Reps: s.Reps, Rounds: s.Rounds,
 		}
-	} else if err := m.matches(s, len(cells)); err != nil {
+	} else if err := m.matches(s, cells); err != nil {
 		return nil, err
+	}
+	m.path, m.every = path, cfg.Every
+	if m.every <= 0 {
+		m.every = DefaultCheckpointEvery
 	}
 	// The traced replication must re-run on resume so the recorder holds
 	// the full trajectory; determinism makes the re-run result identical
@@ -285,184 +298,89 @@ func RunCheckpointed(ctx context.Context, spec *Spec, opts Options, cfg Checkpoi
 			m.Snap = nil
 		}
 	}
-
-	var sm *obs.SweepMetrics
-	if opts.Registry != nil {
-		sm = obs.NewSweepMetrics(opts.Registry)
-		sm.CellsTotal.Set(float64(len(cells)))
-	}
-	if opts.Journal != nil {
-		opts.Journal.RunStart(s.Name, len(cells), s.Reps)
-	}
-	runStart := time.Now()
-
-	res := &Result{Spec: s, Table: s.tableSkeleton()}
-	for _, cell := range cells {
-		if opts.Journal != nil {
-			opts.Journal.CellStart(cell.Index, cell.Label())
-		}
-		cellStart := time.Now()
-		cr, err := s.runCellCheckpointed(ctx, cell, opts, m, mpath, every)
-		if err != nil {
-			if errors.Is(err, ErrSuspended) {
-				return nil, err
-			}
-			return nil, fmt.Errorf("scenario: %s cell %d (%s): %w", s.Name, cell.Index, cell.Label(), err)
-		}
-		elapsed := time.Since(cellStart)
-		if sm != nil {
-			sm.CellsDone.Inc()
-			sm.RepsDone.Add(uint64(s.Reps))
-			sm.CellSeconds.ObserveDuration(elapsed)
-		}
-		if opts.Journal != nil {
-			opts.Journal.CellFinish(cell.Index, s.Reps, elapsed.Seconds())
-		}
-		res.Cells = append(res.Cells, cr)
-		if err := s.addRow(&res.Table, &res.Cells[len(res.Cells)-1]); err != nil {
-			return nil, err
-		}
-	}
-	res.Table.AddNote("scenario %s v%d: %d cells × %d reps, seed %d, dynamics %s on %s",
-		s.Name, s.Version, len(cells), s.Reps, s.Seed, s.Dynamics.Kind, s.Instance.Family)
-	if opts.Journal != nil {
-		opts.Journal.RunFinish(time.Since(runStart).Seconds())
-		if err := opts.Journal.Err(); err != nil {
-			return nil, fmt.Errorf("scenario: journal: %w", err)
-		}
-	}
-	if sm != nil {
-		sm.RunComplete.Set(1)
-	}
-	return res, nil
+	return m, nil
 }
 
-// runCellCheckpointed executes one cell's replications sequentially,
-// skipping completed ones, resuming a snapshotted one, and appending each
-// finished replication to the manifest.
-func (s *Spec) runCellCheckpointed(ctx context.Context, cell Cell, opts Options, m *manifest, mpath string, every int) (CellResult, error) {
-	c, err := s.newCellRun(cell, opts.Registry, opts.Journal)
-	if err != nil {
-		return CellResult{}, err
-	}
-	results := make([]dynamics.RunResult, s.Reps)
-	var drifts []fluid.Drift
-	if s.wantsDrift() {
-		drifts = make([]fluid.Drift, s.Reps)
-	}
-	for rep := 0; rep < s.Reps; rep++ {
-		if rec := m.find(cell.Index, rep); rec != nil {
-			results[rep] = rec.Result.result()
-			if drifts != nil {
-				if rec.Drift == nil {
-					return CellResult{}, fmt.Errorf("%w: manifest record for cell %d rep %d lacks the drift summary this spec needs", ErrInvalid, cell.Index, rep)
-				}
-				drifts[rep] = rec.Drift.drift()
-			}
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return CellResult{}, fmt.Errorf("%w at cell %d rep %d: %w", ErrSuspended, cell.Index, rep, err)
-		}
-
-		d, err := c.build(rep)
-		if err != nil {
-			return CellResult{}, err
-		}
-		res, err := s.runRep(ctx, cell, rep, d, c, m, mpath, every)
-		if err != nil {
-			return CellResult{}, err
-		}
-		results[rep] = res
-
-		rec := repRecord{Cell: cell.Index, Rep: rep, Result: toRunRecord(res)}
-		if drifts != nil {
-			drifts[rep] = c.trackers[rep].Drift()
-			dr := toDriftRecord(drifts[rep])
-			rec.Drift = &dr
-		}
-		m.Done = append(m.Done, rec)
-		if m.Snap != nil && m.Snap.Cell == cell.Index && m.Snap.Rep == rep {
-			m.Snap = nil
-		}
-		if err := m.save(mpath); err != nil {
-			return CellResult{}, err
-		}
-	}
-	return s.assembleCell(cell, results, c.recorder, drifts)
+// snapshotOps is the checkpoint pair for a family with mid-replication
+// snapshot support, plus the lifetime move count its Run would report as
+// RunResult.TotalMoves (zero for the fluid family: a continuum has no
+// move count).
+type snapshotOps struct {
+	capture func(quietStreak int) *checkpoint.Snapshot
+	restore func(*checkpoint.Snapshot) error
+	moves   func() int
 }
 
-// snapshottable returns the capture half of the checkpoint pair for
-// families with mid-replication snapshot support, or nil.
-func snapshottable(d dynamics.Dynamics) func(quietStreak int) *checkpoint.Snapshot {
+// snapshotter returns d's snapshotOps, or nil when its family has no
+// mid-replication snapshot support. Restores replay the cell's schedule.
+func (c *cellRun) snapshotter(d dynamics.Dynamics) *snapshotOps {
 	switch a := d.(type) {
 	case *dynamics.Engine:
-		return func(q int) *checkpoint.Snapshot { return checkpoint.CaptureEngine(a.Engine(), q) }
+		e := a.Engine()
+		return &snapshotOps{
+			capture: func(q int) *checkpoint.Snapshot { return checkpoint.CaptureEngine(e, q) },
+			restore: func(s *checkpoint.Snapshot) error { return checkpoint.RestoreEngine(e, s, c.sched) },
+			moves:   e.TotalMoves,
+		}
 	case *dynamics.Fluid:
-		return func(q int) *checkpoint.Snapshot { return checkpoint.CaptureFluid(a.Sim(), q) }
+		sim := a.Sim()
+		return &snapshotOps{
+			capture: func(q int) *checkpoint.Snapshot { return checkpoint.CaptureFluid(sim, q) },
+			restore: func(s *checkpoint.Snapshot) error { return checkpoint.RestoreFluid(sim, s, c.sched) },
+			moves:   func() int { return 0 },
+		}
 	}
 	return nil
 }
 
-// restoreDynamics overlays a snapshot onto a freshly built replication.
-func (c *cellRun) restoreDynamics(d dynamics.Dynamics, snap *checkpoint.Snapshot) error {
-	switch a := d.(type) {
-	case *dynamics.Engine:
-		return checkpoint.RestoreEngine(a.Engine(), snap, c.sched)
-	case *dynamics.Fluid:
-		return checkpoint.RestoreFluid(a.Sim(), snap, c.sched)
+// runRep builds and runs one replication. Without a manifest, and for
+// replications a snapshot cannot capture — families without snapshot
+// support, and the traced and drift-tracked replications, whose observer
+// state is not snapshotted — it runs whole through the family's own Run
+// (the sequential adapter has absorption semantics a manual step loop
+// would not reproduce), so their interruption granularity is the
+// replication. Otherwise it steps round by round, snapshotting into the
+// manifest every m.every rounds and on cancellation, and resumes from
+// the manifest's snapshot when it belongs to this replication.
+func (c *cellRun) runRep(ctx context.Context, rep int, m *manifest) (dynamics.RunResult, error) {
+	d, err := c.build(rep)
+	if err != nil {
+		return dynamics.RunResult{}, fmt.Errorf("replication %d: %w", rep, err)
 	}
-	return fmt.Errorf("%w: dynamics %s does not support mid-replication snapshots", ErrInvalid, c.s.Dynamics.Kind)
-}
-
-// totalMoves mirrors what each family's Run reports as
-// RunResult.TotalMoves: the engine's lifetime move counter; zero for the
-// fluid family (a continuum has no move count).
-func totalMoves(d dynamics.Dynamics) int {
-	if a, ok := d.(*dynamics.Engine); ok {
-		return a.Engine().TotalMoves()
+	s, cell, stop := c.s, c.cell.Index, c.stops[rep]
+	var ops *snapshotOps
+	if m != nil && c.trackers == nil && (c.recorder == nil || rep != s.Trace.Rep) {
+		ops = c.snapshotter(d)
 	}
-	return 0
-}
-
-// runRep executes one replication to completion, writing mid-run
-// snapshots where the family supports them and resuming from the
-// manifest's snapshot when it belongs to this (cell, rep).
-func (s *Spec) runRep(ctx context.Context, cell Cell, rep int, d dynamics.Dynamics, c *cellRun, m *manifest, mpath string, every int) (dynamics.RunResult, error) {
-	stop := c.stops[rep]
-	capture := snapshottable(d)
-	// The traced and drift-tracked replications accumulate observer state
-	// a snapshot does not capture; they run whole (and re-run on resume).
-	if c.recorder != nil && rep == s.Trace.Rep {
-		capture = nil
-	}
-	if c.trackers != nil {
-		capture = nil
-	}
-	// Families without snapshot support (and the observer-laden
-	// replications above) run whole through their own Run — the sequential
-	// adapter has absorption semantics a manual step loop would not
-	// reproduce. Interruption granularity for them is the replication.
-	if capture == nil {
-		return d.Run(s.Rounds, stop), nil
+	if ops == nil {
+		res := d.Run(s.Rounds, stop)
+		if f, ok := d.(interface{ Err() error }); ok && f.Err() != nil {
+			return res, fmt.Errorf("replication %d: %w", rep, f.Err())
+		}
+		return res, nil
 	}
 
 	rounds, streak := 0, 0
 	var last dynamics.RoundStats
-	resuming := false
-
-	if m.Snap != nil && m.Snap.Cell == cell.Index && m.Snap.Rep == rep {
+	if m.Snap != nil && m.Snap.Cell == cell && m.Snap.Rep == rep {
 		snap, err := checkpoint.Decode(m.Snap.Data)
 		if err != nil {
-			return dynamics.RunResult{}, fmt.Errorf("cell %d rep %d snapshot: %w", cell.Index, rep, err)
+			return dynamics.RunResult{}, fmt.Errorf("cell %d rep %d snapshot: %w", cell, rep, err)
 		}
-		if err := c.restoreDynamics(d, snap); err != nil {
-			return dynamics.RunResult{}, fmt.Errorf("cell %d rep %d: %w", cell.Index, rep, err)
+		// A snapshot is only ever taken strictly inside the round budget,
+		// and its streak counts rounds it executed. Outside those bounds
+		// the counters would skip the step loop or drive an unbounded
+		// priming loop, so reject them before restoring anything.
+		if snap.QuietStreak < 0 || snap.QuietStreak > snap.Round || snap.Round >= int64(s.Rounds) {
+			return dynamics.RunResult{}, fmt.Errorf("%w: cell %d rep %d snapshot has round %d and quiet streak %d, want 0 ≤ streak ≤ round < %d",
+				ErrInvalid, cell, rep, snap.Round, snap.QuietStreak, s.Rounds)
+		}
+		if err := ops.restore(snap); err != nil {
+			return dynamics.RunResult{}, fmt.Errorf("cell %d rep %d: %w", cell, rep, err)
 		}
 		rounds = int(snap.Round)
 		streak = int(snap.QuietStreak)
 		last = m.Snap.Last.stats()
-		resuming = true
 		// Re-prime the only stateful stop condition: feed the fresh
 		// "quiet" counter the trailing zero-migration streak the
 		// interrupted run had seen. The streak is strictly below the stop
@@ -473,18 +391,13 @@ func (s *Spec) runRep(ctx context.Context, cell Cell, rep int, d dynamics.Dynami
 				stop(d, dynamics.RoundStats{Movers: 0})
 			}
 		}
-	}
-
-	if !resuming {
+	} else {
 		// The pre-run stop probe, exactly as Dynamics.Run performs it
 		// (and with its early-return RunResult). A resumed run skips the
 		// probe: its original run already performed it, and the families'
 		// probe guards key off Round < 0, which no longer holds.
 		probe := d.Run(0, stop)
-		if probe.Converged {
-			return probe, nil
-		}
-		if s.Rounds <= 0 {
+		if probe.Converged || s.Rounds <= 0 {
 			return probe, nil
 		}
 		last = probe.Final
@@ -493,10 +406,10 @@ func (s *Spec) runRep(ctx context.Context, cell Cell, rep int, d dynamics.Dynami
 	converged := false
 	for rounds < s.Rounds {
 		if err := ctx.Err(); err != nil {
-			if serr := persistSnapshot(capture(streak), cell.Index, rep, last, m, mpath); serr != nil {
+			if serr := m.saveSnapshot(ops.capture(streak), cell, rep, last); serr != nil {
 				return dynamics.RunResult{}, serr
 			}
-			return dynamics.RunResult{}, fmt.Errorf("%w at cell %d rep %d round %d: %w", ErrSuspended, cell.Index, rep, rounds, err)
+			return dynamics.RunResult{}, fmt.Errorf("%w at cell %d rep %d round %d: %w", ErrSuspended, cell, rep, rounds, err)
 		}
 		last = d.Step()
 		rounds++
@@ -509,18 +422,11 @@ func (s *Spec) runRep(ctx context.Context, cell Cell, rep int, d dynamics.Dynami
 			converged = true
 			break
 		}
-		if rounds%every == 0 && rounds < s.Rounds {
-			if err := persistSnapshot(capture(streak), cell.Index, rep, last, m, mpath); err != nil {
+		if rounds%m.every == 0 && rounds < s.Rounds {
+			if err := m.saveSnapshot(ops.capture(streak), cell, rep, last); err != nil {
 				return dynamics.RunResult{}, err
 			}
 		}
 	}
-	return dynamics.RunResult{Rounds: rounds, Converged: converged, TotalMoves: totalMoves(d), Final: last}, nil
-}
-
-// persistSnapshot stores a mid-replication snapshot in the manifest and
-// writes it out atomically.
-func persistSnapshot(snap *checkpoint.Snapshot, cell, rep int, last dynamics.RoundStats, m *manifest, mpath string) error {
-	m.Snap = &snapRecord{Cell: cell, Rep: rep, Last: toStatsRecord(last), Data: snap.Encode()}
-	return m.save(mpath)
+	return dynamics.RunResult{Rounds: rounds, Converged: converged, TotalMoves: ops.moves(), Final: last}, nil
 }

@@ -9,7 +9,9 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"congame/internal/checkpoint"
 	"congame/internal/dynamics"
 	"congame/internal/events"
 )
@@ -41,7 +43,7 @@ func ckptSpec() *Spec {
 }
 
 // limitedCtx reports cancellation after a fixed number of Err polls — a
-// deterministic kill for RunCheckpointed, which only ever consults
+// deterministic kill for a checkpointed Run, which only ever consults
 // ctx.Err() (never Done), so the poll count fully determines where the
 // run is interrupted.
 type limitedCtx struct {
@@ -57,7 +59,7 @@ func (c *limitedCtx) Err() error {
 	return nil
 }
 
-// suspendAndResume drives RunCheckpointed to completion through repeated
+// suspendAndResume drives a checkpointed Run to completion through repeated
 // deterministic kills: each attempt gets `polls` ctx.Err() calls before
 // the context cancels, so the run is interrupted — and resumed — at
 // every few rounds of every replication. Returns the completed result
@@ -67,7 +69,7 @@ func suspendAndResume(t *testing.T, spec *Spec, dir string, every, polls int) (*
 	cfg := CheckpointConfig{Dir: dir, Every: every}
 	for attempt := 0; attempt < 2000; attempt++ {
 		ctx := &limitedCtx{Context: context.Background(), limit: int64(polls)}
-		res, err := RunCheckpointed(ctx, spec, Options{}, cfg)
+		res, err := Run(ctx, spec, Options{Checkpoint: &cfg})
 		if err == nil {
 			return res, attempt
 		}
@@ -135,7 +137,7 @@ func assertSameResult(t *testing.T, got, want *Result) {
 }
 
 // TestCheckpointedFreshMatchesRun: with no interruption at all,
-// RunCheckpointed must reproduce Run exactly (probe semantics, stop
+// a checkpointed Run must reproduce an uncheckpointed one exactly (probe semantics, stop
 // evaluation order, and final-stats shape all ride through the manual
 // step loop).
 func TestCheckpointedFreshMatchesRun(t *testing.T) {
@@ -144,7 +146,7 @@ func TestCheckpointedFreshMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	got, err := RunCheckpointed(context.Background(), ckptSpec(), Options{}, CheckpointConfig{Dir: dir, Every: 5})
+	got, err := Run(context.Background(), ckptSpec(), Options{Checkpoint: &CheckpointConfig{Dir: dir, Every: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +225,7 @@ func TestCheckpointedSequentialRepGranularity(t *testing.T) {
 
 	dir := t.TempDir()
 	ctx := &limitedCtx{Context: context.Background(), limit: 1}
-	if _, err := RunCheckpointed(ctx, spec(), Options{}, CheckpointConfig{Dir: dir}); !errors.Is(err, ErrSuspended) {
+	if _, err := Run(ctx, spec(), Options{Checkpoint: &CheckpointConfig{Dir: dir}}); !errors.Is(err, ErrSuspended) {
 		t.Fatalf("one-poll attempt did not suspend: %v", err)
 	}
 	m, err := loadManifest(filepath.Join(dir, manifestName))
@@ -298,13 +300,74 @@ func TestCheckpointedTracedRepResumes(t *testing.T) {
 func TestCheckpointedRejectsSpecMismatch(t *testing.T) {
 	dir := t.TempDir()
 	ctx := &limitedCtx{Context: context.Background(), limit: 3}
-	if _, err := RunCheckpointed(ctx, ckptSpec(), Options{}, CheckpointConfig{Dir: dir, Every: 5}); !errors.Is(err, ErrSuspended) {
+	if _, err := Run(ctx, ckptSpec(), Options{Checkpoint: &CheckpointConfig{Dir: dir, Every: 5}}); !errors.Is(err, ErrSuspended) {
 		t.Fatalf("seed run did not suspend: %v", err)
 	}
 	other := ckptSpec()
 	other.Seed = 6
-	_, err := RunCheckpointed(context.Background(), other, Options{}, CheckpointConfig{Dir: dir, Every: 5})
+	_, err := Run(context.Background(), other, Options{Checkpoint: &CheckpointConfig{Dir: dir, Every: 5}})
 	if !errors.Is(err, ErrInvalid) {
 		t.Fatalf("mismatched spec accepted: %v", err)
+	}
+}
+
+// TestCheckpointedRejectsOutOfRangeSnapshot: a resumed snapshot's
+// counters must satisfy 0 ≤ quiet streak ≤ round < spec rounds. A
+// CRC-valid snapshot outside that range would otherwise drive the quiet
+// stop's priming loop for 2^40 iterations, or skip the step loop and
+// report a round count the budget never allowed.
+func TestCheckpointedRejectsOutOfRangeSnapshot(t *testing.T) {
+	for name, tamper := range map[string]func(*checkpoint.Snapshot){
+		"huge quiet streak": func(s *checkpoint.Snapshot) { s.QuietStreak = 1 << 40 },
+		"streak past round": func(s *checkpoint.Snapshot) { s.QuietStreak = s.Round + 1 },
+		"round at budget":   func(s *checkpoint.Snapshot) { s.Round = int64(ckptSpec().Rounds) },
+		"huge round":        func(s *checkpoint.Snapshot) { s.Round = 1 << 40 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeTamperedManifest(t, dir, tamper)
+			done := make(chan error, 1)
+			go func() {
+				_, err := Run(context.Background(), ckptSpec(), Options{Checkpoint: &CheckpointConfig{Dir: dir, Every: 5}})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrInvalid) {
+					t.Fatalf("tampered snapshot accepted: %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("resume from a tampered snapshot did not return within 5s")
+			}
+		})
+	}
+}
+
+// writeTamperedManifest suspends ckptSpec mid-replication into dir, then
+// rewrites the manifest's snapshot through tamper and a fresh Encode (so
+// its CRC stays valid).
+func writeTamperedManifest(t *testing.T, dir string, tamper func(*checkpoint.Snapshot)) {
+	t.Helper()
+	ctx := &limitedCtx{Context: context.Background(), limit: 3}
+	if _, err := Run(ctx, ckptSpec(), Options{Checkpoint: &CheckpointConfig{Dir: dir, Every: 5}}); !errors.Is(err, ErrSuspended) {
+		t.Fatalf("seed run did not suspend: %v", err)
+	}
+	path := filepath.Join(dir, manifestName)
+	m, err := loadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Snap == nil {
+		t.Fatal("suspended run left no mid-replication snapshot")
+	}
+	snap, err := checkpoint.Decode(m.Snap.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tamper(snap)
+	m.Snap.Data = snap.Encode()
+	m.path = path
+	if err := m.save(); err != nil {
+		t.Fatal(err)
 	}
 }

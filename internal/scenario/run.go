@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -36,6 +37,9 @@ type Options struct {
 	// the journaled representative to bound journal volume independently
 	// of the replication count.
 	Journal *obs.Journal
+	// Checkpoint, when non-nil, persists progress into a state directory
+	// so an interrupted run resumes where it left off (see Run).
+	Checkpoint *CheckpointConfig
 }
 
 // CellResult is one finished grid cell: the cell, its per-replication
@@ -75,10 +79,33 @@ type Result struct {
 func prngNew(seed uint64) *rand.Rand { return prng.New(seed) }
 
 // Run executes every cell of the spec's grid. Within a cell the
-// replications fan out through runner.Spec across the configured worker
+// replications fan out through runner.Map across the configured worker
 // pool and fold in replication order; cells run sequentially in grid
 // order. Output is bit-identical for every par and workers setting (the
 // determinism contract of DESIGN.md §4/§6).
+//
+// With opts.Checkpoint set, Run also persists progress into
+// opts.Checkpoint.Dir, so an interrupted run resumes where it left off
+// and produces a table byte-identical to an uninterrupted run.
+// Completed replications are recorded in the manifest and never
+// re-executed. Within an in-flight replication of the engine and fluid
+// families a binary snapshot (internal/checkpoint) is written every
+// Checkpoint.Every rounds and on context cancellation, and a resume
+// restores it and continues bit-identically — including the "quiet"
+// stop condition, whose trailing zero-migration streak rides along in
+// the snapshot. Sequential-family replications, the traced replication,
+// and drift-tracked replications re-run from round 0 on resume (their
+// observer state is not snapshotted); determinism makes the re-run
+// bit-identical, it just repeats work. On cancellation the error wraps
+// both ErrSuspended and ctx.Err().
+//
+// A checkpointed run ignores opts.Par: replications run sequentially
+// (the engine worker count is unconstrained, since trajectories are
+// worker-invariant). It consults the context only through ctx.Err(),
+// never Done: exactly one poll per replication it has yet to run, just
+// before starting it, and one per round a snapshotting replication
+// steps. The poll count therefore fully determines where a run is
+// interrupted.
 func Run(ctx context.Context, spec *Spec, opts Options) (*Result, error) {
 	if spec == nil {
 		return nil, fmt.Errorf("%w: nil spec", ErrInvalid)
@@ -90,10 +117,17 @@ func Run(ctx context.Context, spec *Spec, opts Options) (*Result, error) {
 	if opts.Par > 0 {
 		s.Par = opts.Par
 	}
+	if opts.Checkpoint != nil {
+		s.Par = 1 // the manifest records one replication at a time
+	}
 	if opts.Workers != 0 {
 		s.Workers = opts.Workers
 	}
 	cells, err := Grid(s, false) // quick already applied to s
+	if err != nil {
+		return nil, err
+	}
+	m, err := openManifest(opts.Checkpoint, s, len(cells))
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +149,10 @@ func Run(ctx context.Context, spec *Spec, opts Options) (*Result, error) {
 			opts.Journal.CellStart(cell.Index, cell.Label())
 		}
 		cellStart := time.Now()
-		cr, err := s.runCell(ctx, cell, opts.Registry, opts.Journal)
+		cr, err := s.runCell(ctx, cell, opts, m)
+		if errors.Is(err, ErrSuspended) {
+			return nil, err
+		}
 		if err != nil {
 			return nil, fmt.Errorf("scenario: %s cell %d (%s): %w", s.Name, cell.Index, cell.Label(), err)
 		}
@@ -169,9 +206,8 @@ func (s *Spec) engineWorkers() int {
 }
 
 // cellRun bundles one cell's shared construction state — schedule, trace
-// recorder, per-replication stop conditions and drift trackers — so the
-// pooled driver (runCell) and the sequential checkpointing driver
-// (RunCheckpointed) build replications through the identical path.
+// recorder, per-replication stop conditions and drift trackers — that
+// every replication of the cell is built from.
 type cellRun struct {
 	s        *Spec
 	cell     Cell
@@ -179,10 +215,10 @@ type cellRun struct {
 	sched    *events.Schedule
 	recorder *trace.Recorder
 	// stops[rep] is written by build and read afterwards for the same rep
-	// on the same goroutine (runner.Run calls New and Stop back to back),
-	// so per-replication stop conditions can close over the replication's
+	// on the same goroutine (runRep builds, then runs), so
+	// per-replication stop conditions can close over the replication's
 	// own Built context without synchronization. trackers follows the
-	// same discipline (written in build, read only after the rep joins).
+	// same discipline.
 	stops    []dynamics.StopCondition
 	trackers []*fluid.DriftTracker
 	reg      *obs.Registry
@@ -222,8 +258,7 @@ func (s *Spec) newCellRun(cell Cell, reg *obs.Registry, j *obs.Journal) (*cellRu
 
 // build constructs one replication's dynamics: instance, dynamics kind,
 // event schedule, instrumentation, stop condition (stored in
-// c.stops[rep]), trace recorder, and drift tracker — the single
-// construction path every driver shares.
+// c.stops[rep]), trace recorder, and drift tracker.
 func (c *cellRun) build(rep int) (dynamics.Dynamics, error) {
 	s, cell := c.s, c.cell
 	fam := families[s.Instance.Family]
@@ -293,10 +328,54 @@ func (c *cellRun) build(rep int) (dynamics.Dynamics, error) {
 	return built.Dyn, nil
 }
 
-// assembleCell folds per-replication results into a CellResult; both
-// drivers feed it results in replication order, so aggregates are
-// bit-identical regardless of how the replications were executed.
-func (s *Spec) assembleCell(cell Cell, results []dynamics.RunResult, rec *trace.Recorder, drifts []fluid.Drift) (CellResult, error) {
+// runCell executes one cell. Replications the manifest already holds
+// (m non-nil) fill their slots first, so they cost no context poll;
+// runner.Map runs the rest across the spec's worker pool, and each
+// finished one is recorded in the manifest. Results fold in replication
+// order, so aggregates are bit-identical however (and in however many
+// processes) the replications ran.
+func (s *Spec) runCell(ctx context.Context, cell Cell, opts Options, m *manifest) (CellResult, error) {
+	c, err := s.newCellRun(cell, opts.Registry, opts.Journal)
+	if err != nil {
+		return CellResult{}, err
+	}
+	results := make([]dynamics.RunResult, s.Reps)
+	var drifts []fluid.Drift
+	if c.trackers != nil {
+		drifts = make([]fluid.Drift, s.Reps)
+	}
+	pending := make([]int, 0, s.Reps)
+	for rep := range s.Reps {
+		rec := m.find(cell.Index, rep)
+		if rec == nil {
+			pending = append(pending, rep)
+			continue
+		}
+		results[rep] = rec.Result.result()
+		if drifts != nil {
+			if rec.Drift == nil {
+				return CellResult{}, fmt.Errorf("%w: manifest record for cell %d rep %d lacks the drift summary this spec needs", ErrInvalid, cell.Index, rep)
+			}
+			drifts[rep] = rec.Drift.drift()
+		}
+	}
+	_, err = runner.Map(ctx, len(pending), s.Par, func(ctx context.Context, i int) (struct{}, error) {
+		rep := pending[i]
+		res, err := c.runRep(ctx, rep, m)
+		if err != nil {
+			return struct{}{}, err
+		}
+		results[rep] = res
+		var drift *fluid.Drift
+		if drifts != nil {
+			drifts[rep] = c.trackers[rep].Drift()
+			drift = &drifts[rep]
+		}
+		return struct{}{}, m.record(cell.Index, rep, res, drift)
+	})
+	if err != nil {
+		return CellResult{}, m.suspension(err, cell.Index)
+	}
 	rounds := make([]float64, len(results))
 	for i, r := range results {
 		rounds[i] = float64(r.Rounds)
@@ -311,40 +390,9 @@ func (s *Spec) assembleCell(cell Cell, results []dynamics.RunResult, rec *trace.
 		Results: results,
 		Rounds:  summary,
 		Agg:     runner.Summarize(results),
-		Trace:   rec,
+		Trace:   c.recorder,
 		Drifts:  drifts,
 	}, nil
-}
-
-// runCell executes one cell's replications through runner.Spec,
-// instrumenting every replication with reg and journaling replication 0
-// when j is non-nil (both optional).
-func (s *Spec) runCell(ctx context.Context, cell Cell, reg *obs.Registry, j *obs.Journal) (CellResult, error) {
-	c, err := s.newCellRun(cell, reg, j)
-	if err != nil {
-		return CellResult{}, err
-	}
-	rspec := runner.Spec{
-		Reps:        s.Reps,
-		MaxRounds:   s.Rounds,
-		BaseSeed:    s.Seed,
-		Key:         uint64(cell.Index),
-		Parallelism: s.Par,
-		New:         func(rep int, _ uint64) (dynamics.Dynamics, error) { return c.build(rep) },
-		Stop:        func(rep int) dynamics.StopCondition { return c.stops[rep] },
-	}
-	results, err := runner.Run(ctx, rspec)
-	if err != nil {
-		return CellResult{}, err
-	}
-	var drifts []fluid.Drift
-	if c.trackers != nil {
-		drifts = make([]fluid.Drift, len(c.trackers))
-		for i, tr := range c.trackers {
-			drifts[i] = tr.Drift()
-		}
-	}
-	return s.assembleCell(cell, results, c.recorder, drifts)
 }
 
 // addRow appends the cell's table row: axis values, then metric values.

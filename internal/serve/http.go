@@ -78,7 +78,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	quick := r.URL.Query().Get("quick") == "1" || r.URL.Query().Get("quick") == "true"
-	j, err := s.submit(body, spec, quick)
+	rec, err := s.submit(body, spec, quick)
 	if errors.Is(err, errQueueFull) {
 		writeError(w, http.StatusServiceUnavailable, "job queue is full (%d pending)", s.cfg.QueueDepth)
 		return
@@ -87,7 +87,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.record())
+	writeJSON(w, http.StatusAccepted, rec)
 }
 
 // handleList returns every job's record in creation order.
@@ -122,7 +122,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCancel cancels a queued or running job. The running case goes
-// through context cancellation: the checkpointing runner persists a
+// through context cancellation: the checkpointed scenario.Run persists a
 // snapshot and unwinds, and the job lands in status "canceled" with its
 // checkpoint intact on disk.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -201,15 +201,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 
-	// Jobs that reached a terminal state in an earlier daemon process
-	// have an empty in-memory broadcaster; the on-disk journal is the
-	// authority for them either way.
-	if rec := j.record(); rec.Status.terminal() {
-		s.streamJournalFile(w, fl, j, rec.Status)
+	// A finished job's broadcaster holds no history; its on-disk journal
+	// is complete and carries the whole stream.
+	history, ch, id, closed := j.bcast.subscribe()
+	if closed {
+		s.streamJournalFile(w, fl, j, j.record().Status)
 		return
 	}
-
-	history, ch, id := j.bcast.subscribe()
 	defer j.bcast.unsubscribe(id)
 	for _, line := range history {
 		if err := sseFrame(w, line); err != nil {

@@ -1,9 +1,9 @@
 // Package serve implements the simulation-as-a-service daemon behind
 // cmd/serve: an HTTP API that accepts scenario specs (internal/scenario,
 // including the version-2 event schedules), queues them with bounded
-// concurrency, executes each through the checkpointing runner
-// (scenario.RunCheckpointed), and streams every job's NDJSON journal live
-// over Server-Sent Events. All state lives under one directory, so a
+// concurrency, executes each through scenario.Run with checkpointing on
+// (Options.Checkpoint), and streams every job's NDJSON journal live over
+// Server-Sent Events. All state lives under one directory, so a
 // killed daemon restarted on the same directory requeues interrupted jobs
 // and resumes them bit-identically (DESIGN.md §13).
 //
@@ -12,7 +12,7 @@
 //	<state>/jobs/<id>/spec.json       the submitted spec, verbatim
 //	<state>/jobs/<id>/job.json        lifecycle record (status, timestamps)
 //	<state>/jobs/<id>/journal.ndjson  obs.Journal rows, append-only across resumes
-//	<state>/jobs/<id>/state/          RunCheckpointed's progress manifest
+//	<state>/jobs/<id>/state/          scenario.Run's checkpoint manifest
 //	<state>/jobs/<id>/result.{txt,csv,md,json}  rendered table, on completion
 //
 // Every mutation of job.json and the checkpoint manifest goes through the
@@ -64,8 +64,9 @@ type Config struct {
 	// StateDir is the root state directory. Required; created if missing.
 	StateDir string
 	// MaxConcurrent is the number of jobs executing at once; ≤ 0 means 1.
-	// Replications within a job always run sequentially (the checkpointing
-	// runner's contract), so this is the daemon's only parallelism knob.
+	// Replications within a job always run sequentially (a checkpointed
+	// scenario.Run ignores par), so this is the daemon's only parallelism
+	// knob.
 	MaxConcurrent int
 	// CheckpointEvery is the mid-replication snapshot cadence in rounds;
 	// ≤ 0 selects scenario.DefaultCheckpointEvery.
@@ -217,9 +218,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Close stops accepting work from the queue and cancels every running
-// job's context; the checkpointing runner persists each job's snapshot
-// and the job is recorded as suspended, so a New on the same state
-// directory resumes it. Blocks until the workers have drained.
+// job's context; scenario.Run persists each job's snapshot and the job is
+// recorded as suspended, so a New on the same state directory resumes
+// it. Blocks until the workers have drained.
 func (s *Server) Close() error {
 	s.cancel()
 	s.wg.Wait()
@@ -293,13 +294,19 @@ func (s *Server) loadJobs() error {
 				return fmt.Errorf("serve: queue depth %d cannot hold the %d interrupted jobs in %s",
 					s.cfg.QueueDepth, len(s.queue)+1, s.cfg.StateDir)
 			}
+		} else {
+			// Finished in an earlier process: its SSE stream replays
+			// from the on-disk journal.
+			j.bcast.finish()
 		}
 	}
 	return nil
 }
 
-// submit registers a new job for the parsed spec and enqueues it.
-func (s *Server) submit(raw []byte, spec *scenario.Spec, quick bool) (*Job, error) {
+// submit registers a new job for the parsed spec and enqueues it. It
+// returns the record as accepted: a worker may start the job before the
+// caller reads it again.
+func (s *Server) submit(raw []byte, spec *scenario.Spec, quick bool) (jobRecord, error) {
 	s.mu.Lock()
 	id := fmt.Sprintf("job-%06d", s.nextID)
 	s.nextID++
@@ -307,10 +314,10 @@ func (s *Server) submit(raw []byte, spec *scenario.Spec, quick bool) (*Job, erro
 
 	dir := filepath.Join(s.cfg.StateDir, "jobs", id)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
+		return jobRecord{}, fmt.Errorf("serve: %w", err)
 	}
 	if err := checkpoint.WriteBytes(filepath.Join(dir, "spec.json"), raw); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
+		return jobRecord{}, fmt.Errorf("serve: %w", err)
 	}
 	j := &Job{
 		id: id, dir: dir, spec: spec, bcast: newBroadcaster(),
@@ -318,9 +325,10 @@ func (s *Server) submit(raw []byte, spec *scenario.Spec, quick bool) (*Job, erro
 	}
 	j.mu.Lock()
 	err := j.persistLocked()
+	accepted := j.rec
 	j.mu.Unlock()
 	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
+		return jobRecord{}, fmt.Errorf("serve: %w", err)
 	}
 
 	s.mu.Lock()
@@ -332,14 +340,15 @@ func (s *Server) submit(raw []byte, spec *scenario.Spec, quick bool) (*Job, erro
 	case s.queue <- j:
 		s.metrics.submitted.Inc()
 		s.metrics.queued.Add(1)
-		return j, nil
+		return accepted, nil
 	default:
 		j.mu.Lock()
 		j.rec.Status = StatusFailed
 		j.rec.Error = "queue full at submission"
 		_ = j.persistLocked()
 		j.mu.Unlock()
-		return nil, errQueueFull
+		j.bcast.finish()
+		return jobRecord{}, errQueueFull
 	}
 }
 
@@ -367,7 +376,7 @@ func (s *Server) worker() {
 }
 
 // cancelJob handles DELETE: a queued job is canceled in place, a running
-// one gets its context canceled (the runner checkpoints and returns
+// one gets its context canceled (scenario.Run checkpoints and returns
 // ErrSuspended, which runJob records as canceled). Terminal jobs return
 // false.
 func (s *Server) cancelJob(j *Job) bool {
@@ -393,8 +402,8 @@ func (s *Server) cancelJob(j *Job) bool {
 	return false
 }
 
-// runJob executes one job: journal to file + SSE broadcaster, run through
-// the checkpointing runner, persist the outcome.
+// runJob executes one job: journal to file + SSE broadcaster, a
+// checkpointed scenario.Run, persist the outcome.
 func (s *Server) runJob(j *Job) {
 	ctx, cancel := context.WithCancel(s.ctx)
 	defer cancel()
@@ -454,9 +463,10 @@ func (s *Server) runJob(j *Job) {
 		}
 	}()
 
-	res, runErr := scenario.RunCheckpointed(ctx, spec,
-		scenario.Options{Quick: quick, Registry: s.reg, Journal: journal},
-		scenario.CheckpointConfig{Dir: filepath.Join(j.dir, "state"), Every: s.cfg.CheckpointEvery})
+	res, runErr := scenario.Run(ctx, spec, scenario.Options{
+		Quick: quick, Registry: s.reg, Journal: journal,
+		Checkpoint: &scenario.CheckpointConfig{Dir: filepath.Join(j.dir, "state"), Every: s.cfg.CheckpointEvery},
+	})
 
 	close(flushDone)
 	flushWG.Wait()
@@ -498,7 +508,8 @@ func (s *Server) finishJob(j *Job, st Status, cause error, res *scenario.Result)
 		j.rec.Error = cause.Error()
 	}
 	_ = j.persistLocked()
-	j.mu.Unlock()
+	// Count under the lock, so whoever reads the terminal status also
+	// sees it counted.
 	switch st {
 	case StatusDone:
 		s.metrics.done.Inc()
@@ -509,6 +520,7 @@ func (s *Server) finishJob(j *Job, st Status, cause error, res *scenario.Result)
 	case StatusSuspended:
 		s.metrics.suspended.Inc()
 	}
+	j.mu.Unlock()
 	j.bcast.finish()
 }
 

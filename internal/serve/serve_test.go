@@ -198,7 +198,7 @@ func TestJobLifecycle(t *testing.T) {
 	if err := obs.ValidatePrometheus(metrics); err != nil {
 		t.Errorf("/metrics is not valid exposition format: %v", err)
 	}
-	for _, m := range []string{"serve_jobs_submitted_total 1", "serve_jobs_done_total 1", "sweep_run_complete 1"} {
+	for _, m := range []string{"serve_jobs_submitted_total 1", "serve_jobs_done_total 1", "sweep_run_complete 1", "runner_jobs_total"} {
 		if !strings.Contains(string(metrics), m) {
 			t.Errorf("/metrics lacks %q", m)
 		}
@@ -415,7 +415,7 @@ func TestSubmitValidation(t *testing.T) {
 // SSE stream depends on: journal flushes split lines arbitrarily.
 func TestBroadcasterReassemblesLines(t *testing.T) {
 	b := newBroadcaster()
-	history, ch, id := b.subscribe()
+	history, ch, id, _ := b.subscribe()
 	defer b.unsubscribe(id)
 	if len(history) != 0 {
 		t.Fatalf("fresh broadcaster has %d history lines", len(history))
@@ -439,13 +439,46 @@ func TestBroadcasterReassemblesLines(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("got %q, want %q", got, want)
 	}
-	// Late subscribers replay the full history from a closed channel.
-	history, ch2, id2 := b.subscribe()
-	defer b.unsubscribe(id2)
-	if len(history) != 3 {
-		t.Errorf("late subscriber got %d history lines, want 3", len(history))
+	// Finish releases the history; a late subscriber is told to replay
+	// the on-disk journal instead.
+	if history, _, _, closed := b.subscribe(); !closed || history != nil {
+		t.Errorf("subscribe after finish: closed %v, %d history lines; want closed, none", closed, len(history))
 	}
-	if _, open := <-ch2; open {
-		t.Error("late subscriber channel still open after finish")
+	if b.lines != nil || b.pending != nil {
+		t.Errorf("finished broadcaster retains %d lines, %d pending bytes", len(b.lines), len(b.pending))
+	}
+}
+
+// TestFinishedJobReleasesHistory: once a job finishes, its broadcaster
+// holds no journal lines, and a stream opened afterwards — served from
+// journal.ndjson — still matches the journal line for line.
+func TestFinishedJobReleasesHistory(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newServer(t, dir, nil)
+	id := submit(t, ts, specJSON)
+	// Following the live stream to its end frame guarantees finish ran.
+	if _, endStatus := readSSE(t, ts.URL+"/v1/jobs/"+id+"/events"); endStatus != string(StatusDone) {
+		t.Fatalf("stream ended with status %q", endStatus)
+	}
+	b := s.job(id).bcast
+	b.mu.Lock()
+	lines, pending, closed := len(b.lines), len(b.pending), b.closed
+	b.mu.Unlock()
+	if !closed || lines != 0 || pending != 0 {
+		t.Errorf("finished job's broadcaster: closed %v, %d lines, %d pending bytes; want closed, none", closed, lines, pending)
+	}
+
+	replay, endStatus := readSSE(t, ts.URL+"/v1/jobs/"+id+"/events")
+	if endStatus != string(StatusDone) {
+		t.Errorf("replay ended with status %q", endStatus)
+	}
+	want := journalLines(t, dir, id)
+	if len(replay) != len(want) {
+		t.Fatalf("replayed %d rows, journal has %d", len(replay), len(want))
+	}
+	for i := range want {
+		if replay[i] != want[i] {
+			t.Fatalf("row %d differs:\nsse:     %s\njournal: %s", i, replay[i], want[i])
+		}
 	}
 }
