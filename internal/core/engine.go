@@ -39,7 +39,8 @@ type RunResult struct {
 	// Converged reports whether the stop condition fired (as opposed to the
 	// round budget running out).
 	Converged bool
-	// TotalMoves is the total number of migrations over all rounds.
+	// TotalMoves is the total number of migrations over the engine's
+	// lifetime — every round ever executed, not just this Run.
 	TotalMoves int
 	// Final is the statistics record of the last executed round.
 	Final RoundStats
@@ -57,7 +58,9 @@ type RoundObserver interface {
 // decide+record pass (the per-shard decision kernels record their
 // migrations into private deltas in the same pass, so "decide" includes
 // "record"), Apply the delta stage/replay/commit, and Step the whole
-// round including stats collection.
+// round including stats collection. It is the one phase record of every
+// backend: the weighted engine and the fluid simulator report through it
+// too, leaving the phases they lack at zero (see their SetStepTimer).
 type StepTimings struct {
 	PreRound time.Duration
 	Sync     time.Duration

@@ -21,6 +21,7 @@ type Engine struct {
 
 var _ Dynamics = (*Engine)(nil)
 var _ Observable = (*Engine)(nil)
+var _ Timed = (*Engine)(nil)
 
 // FromEngine wraps a concurrent engine.
 func FromEngine(e *core.Engine) *Engine {
@@ -33,6 +34,10 @@ func (a *Engine) Engine() *core.Engine { return a.e }
 // SetObserver implements Observable by registering the observer with the
 // wrapped engine; it sees every round stepped from now on.
 func (a *Engine) SetObserver(obs core.RoundObserver) { a.e.AddObserver(obs) }
+
+// SetStepTimer implements Timed by installing the timer on the wrapped
+// engine itself, so the exact round is timed with no adapter in between.
+func (a *Engine) SetStepTimer(t core.StepTimer) { a.e.SetStepTimer(t) }
 
 // SetEvents validates the event schedule against the engine's instance
 // and installs it as the engine's pre-round hook, so scheduled mutations
@@ -72,9 +77,7 @@ func (a *Engine) CurrentSnapshot() game.Snapshot {
 }
 
 // Step executes one concurrent round.
-func (a *Engine) Step() RoundStats {
-	return RoundStats(a.e.Step())
-}
+func (a *Engine) Step() RoundStats { return a.e.Step() }
 
 // Run delegates to core.Engine.Run, translating the unified stop condition
 // into a core.StopCondition on the fly.
@@ -83,16 +86,10 @@ func (a *Engine) Run(maxRounds int, stop StopCondition) RunResult {
 	if stop != nil {
 		cs = func(v game.Snapshot, r core.RoundStats) bool {
 			a.snap = v
-			fired := stop(a, RoundStats(r))
+			fired := stop(a, r)
 			a.snap = nil
 			return fired
 		}
 	}
-	res := a.e.Run(maxRounds, cs)
-	return RunResult{
-		Rounds:     res.Rounds,
-		Converged:  res.Converged,
-		TotalMoves: res.TotalMoves,
-		Final:      RoundStats(res.Final),
-	}
+	return a.e.Run(maxRounds, cs)
 }

@@ -18,47 +18,20 @@ package dynamics
 import "congame/internal/core"
 
 // RoundStats summarizes one executed round (or, for sequential dynamics,
-// one activation batch). It mirrors core.RoundStats field for field; the
-// weighted and sequential adapters document which fields they populate.
-type RoundStats struct {
-	// Round is the 0-based index of the completed round.
-	Round int
-	// Players is the number of players n the round ran with (after any
-	// pre-round churn events). The fluid adapter reports the rounded
-	// absolute population for FromGame-scaled systems and 0 for
-	// hand-built ones.
-	Players int
-	// Movers is the number of players that migrated this round.
-	Movers int
-	// NewStrategies is the number of previously unregistered strategies
-	// discovered by exploration this round (concurrent engine only).
-	NewStrategies int
-	// Potential is the potential after the round. Adapters that cannot
-	// track it cheaply report NaN; use Dynamics.Potential for ground
-	// truth.
-	Potential float64
-	// AvgLatency is the average latency after the round.
-	AvgLatency float64
-	// MaxLatency is the makespan after the round.
-	MaxLatency float64
-}
+// one activation batch). It is core.RoundStats; the adapters document
+// which fields they populate. The fluid adapter reports the rounded
+// absolute population as Players for FromGame-scaled systems and 0 for
+// hand-built ones; adapters that cannot track the potential cheaply
+// report NaN (use Dynamics.Potential for ground truth); NewStrategies is
+// only ever non-zero on the concurrent engine.
+type RoundStats = core.RoundStats
 
-// RunResult summarizes a full Run. It mirrors core.RunResult.
-type RunResult struct {
-	// Rounds is the number of rounds (sequential dynamics: activations)
-	// executed.
-	Rounds int
-	// Converged reports whether the stop condition fired (as opposed to
-	// the round budget running out).
-	Converged bool
-	// TotalMoves is the total number of migrations over the dynamics'
-	// lifetime — all rounds ever executed, not just this Run, mirroring
-	// core.Engine.Run — where the family reports it (0 for the Goldberg
-	// baseline).
-	TotalMoves int
-	// Final is the statistics record of the last executed round.
-	Final RoundStats
-}
+// RunResult summarizes a full Run. It is core.RunResult: Rounds counts
+// the rounds (sequential dynamics: activations) this Run executed, and
+// TotalMoves the migrations over the dynamics' lifetime — all rounds
+// ever executed, not just this Run, as core.Engine.Run reports it —
+// where the family tracks them (0 for the fluid and Goldberg families).
+type RunResult = core.RunResult
 
 // StopCondition inspects the dynamics after each round and reports whether
 // the run should stop. Conditions receive the Dynamics itself so that
@@ -69,15 +42,67 @@ type RunResult struct {
 type StopCondition func(d Dynamics, r RoundStats) bool
 
 // Observable is implemented by dynamics that can attach a per-round
-// observer (e.g. a trace.Recorder) after construction. All three adapter
-// families implement it: the core-engine adapter forwards to
-// core.Engine.AddObserver, while the sequential and weighted adapters
-// invoke observers themselves after every executed Step. Repeated calls
+// observer (e.g. a trace.Recorder) after construction. Every adapter
+// family implements it: the core-engine adapter forwards to
+// core.Engine.AddObserver, while the others invoke observers themselves
+// after every executed Step (roundHooks). Repeated calls
 // attach ADDITIONAL observers on every family (there is no detach).
-// Observers see the same RoundStats the Step returns, converted to
-// core.RoundStats (field-identical).
+// Observers see the same RoundStats the Step returns.
 type Observable interface {
 	SetObserver(obs core.RoundObserver)
+}
+
+// Timed is implemented by dynamics that report per-round phase timings in
+// the one core.StepTimings record: the core, weighted, and fluid
+// adapters. The timer runs after each Step with the same RoundStats the
+// observers see, before them (as core.Engine orders it), so a journal
+// writes each round's phase row ahead of its round row. Only one timer is
+// kept; compose several with core.ComposeStepTimers, and pass nil to
+// remove it.
+type Timed interface {
+	SetStepTimer(t core.StepTimer)
+}
+
+// roundHooks is the per-round fan-out the weighted, fluid, and
+// sequential adapters share: the attached observers, plus (weighted,
+// fluid) a step timer fed the wrapped engine's timings of the round just
+// stepped. core.Engine does the same internally, so the core adapter
+// needs none of it.
+type roundHooks struct {
+	obs   []core.RoundObserver
+	timer core.StepTimer
+	last  core.StepTimings
+}
+
+// SetObserver implements Observable: the observer sees the RoundStats of
+// every round stepped from now on. Repeated calls attach additional
+// observers, like core.Engine.AddObserver.
+func (h *roundHooks) SetObserver(obs core.RoundObserver) {
+	if obs != nil {
+		h.obs = append(h.obs, obs)
+	}
+}
+
+// setTimer records t and returns the engine-side hook to install: nil
+// when t is nil, so an untimed engine keeps its timestamp-free round.
+func (h *roundHooks) setTimer(t core.StepTimer) func(core.StepTimings) {
+	h.timer = t
+	if t == nil {
+		return nil
+	}
+	return h.keep
+}
+
+func (h *roundHooks) keep(t core.StepTimings) { h.last = t }
+
+// emit reports a stepped round: timer first, then observers.
+func (h *roundHooks) emit(s RoundStats) {
+	if h.timer != nil {
+		h.timer(s, h.last)
+	}
+	for _, obs := range h.obs {
+		obs.Observe(s)
+	}
 }
 
 // Dynamics is the unified run API over all dynamics families.

@@ -270,6 +270,26 @@ func TestWeightedAdapterParity(t *testing.T) {
 	if phi := FromWeighted(engB).Potential(); math.IsNaN(phi) {
 		t.Error("linear weighted game reported NaN potential")
 	}
+
+	// TotalMoves is the lifetime migration count, as on the other
+	// families: rounds stepped before a Run count too, including in the
+	// pre-run probe's early return.
+	engC, _ := newWeightedEngine(t, 23, 1)
+	dyn := FromWeighted(engC)
+	moved := 0
+	dyn.SetObserver(observerFunc(func(r core.RoundStats) { moved += r.Movers }))
+	for i := 0; i < 5; i++ {
+		dyn.Step()
+	}
+	if moved == 0 {
+		t.Fatal("no migrations in the stepped rounds; the check below would be vacuous")
+	}
+	if probe := dyn.Run(0, nil); probe.TotalMoves != moved {
+		t.Errorf("pre-run probe TotalMoves = %d, want the %d moves stepped so far", probe.TotalMoves, moved)
+	}
+	if res := dyn.Run(20, nil); res.TotalMoves != moved {
+		t.Errorf("Run TotalMoves = %d, want %d (every round's Movers)", res.TotalMoves, moved)
+	}
 }
 
 // TestStopHelpersIgnoreForeignFamilies: family-specific stops never fire

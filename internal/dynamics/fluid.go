@@ -29,13 +29,19 @@ const DefaultQuietTol = 1e-9
 type Fluid struct {
 	sim       *fluid.Sim
 	quietTol  float64
-	obs       []core.RoundObserver
 	events    *events.Schedule
 	firingObs []events.FiringObserver
+	roundHooks
 }
 
 var _ Dynamics = (*Fluid)(nil)
 var _ Observable = (*Fluid)(nil)
+var _ Timed = (*Fluid)(nil)
+
+// SetStepTimer implements Timed with the simulator's phase timings (see
+// fluid.Sim.SetStepTimer: decide is the ODE integration, apply the
+// potential fold).
+func (f *Fluid) SetStepTimer(t core.StepTimer) { f.sim.SetStepTimer(f.setTimer(t)) }
 
 // FromFluid wraps a fluid simulator; quietTol ≤ 0 selects
 // DefaultQuietTol.
@@ -54,15 +60,6 @@ func (f *Fluid) Round() int { return f.sim.Round() }
 
 // Potential returns the incrementally maintained continuous potential.
 func (f *Fluid) Potential() float64 { return f.sim.Potential() }
-
-// SetObserver implements Observable; observers see every round stepped
-// from now on, exactly like the engine adapter. Repeated calls attach
-// additional observers.
-func (f *Fluid) SetObserver(obs core.RoundObserver) {
-	if obs != nil {
-		f.obs = append(f.obs, obs)
-	}
-}
 
 // SetEvents validates and installs an event schedule whose mean-field
 // counterparts apply before each fluid round: churn becomes a mass
@@ -187,9 +184,7 @@ func (f *Fluid) convert(s fluid.RoundStats) RoundStats {
 func (f *Fluid) Step() RoundStats {
 	f.applyEvents()
 	st := f.convert(f.sim.Step())
-	for _, obs := range f.obs {
-		obs.Observe(core.RoundStats(st))
-	}
+	f.emit(st)
 	return st
 }
 

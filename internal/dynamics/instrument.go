@@ -2,9 +2,7 @@ package dynamics
 
 import (
 	"congame/internal/core"
-	"congame/internal/fluid"
 	"congame/internal/obs"
-	"congame/internal/weighted"
 )
 
 // Instrument attaches observability to one dynamics instance: registry
@@ -16,78 +14,49 @@ import (
 // typically attached to a single representative replication to bound its
 // volume.
 //
-// Everything installed here only reads the completed round's statistics
-// and timings, so an instrumented run's trajectory is bit-identical to a
-// bare one (pinned by TestInstrumentPreservesTrajectory).
+// Timed dynamics (the core, weighted, and fluid adapters) get the phase
+// histograms and journal phase rows through one core.StepTimer; any other
+// Observable dynamics get round accounting only. Everything installed
+// here only reads the completed round's statistics and timings, so an
+// instrumented run's trajectory is bit-identical to a bare one (pinned by
+// TestInstrumentPreservesTrajectory).
 func Instrument(d Dynamics, reg *obs.Registry, j *obs.Journal, cell, rep int) {
 	if reg == nil && j == nil {
 		return
 	}
-	switch a := d.(type) {
+	o, ok := d.(Observable)
+	if !ok {
+		return
+	}
+	var label string
+	switch d.(type) {
 	case *Engine:
-		var timer core.StepTimer
-		if reg != nil {
-			em := obs.NewEngineMetrics(reg, "core")
-			timer = em.StepTimer()
-			a.SetObserver(em.Observer())
-		}
-		if j != nil {
-			timer = core.ComposeStepTimers(timer, j.StepTimer(cell, rep, "core"))
-			a.SetObserver(j.RoundObserver(cell, rep))
-		}
-		a.Engine().SetStepTimer(timer)
+		label = "core"
 	case *Weighted:
-		var timers []func(weighted.StepTimings)
-		if reg != nil {
-			em := obs.NewEngineMetrics(reg, "weighted")
-			timers = append(timers, em.WeightedStepTimer())
-			a.SetObserver(em.Observer())
-		}
-		if j != nil {
-			timers = append(timers, j.WeightedStepTimer(cell, rep))
-			a.SetObserver(j.RoundObserver(cell, rep))
-		}
-		a.Engine().SetStepTimer(composeTimers(timers))
+		label = "weighted"
 	case *Fluid:
-		var timers []func(fluid.StepTimings)
-		if reg != nil {
-			fm := obs.NewFluidMetrics(reg)
-			timers = append(timers, fm.StepTimer())
-			a.SetObserver(fm.Observer())
-		}
-		if j != nil {
-			timers = append(timers, j.FluidStepTimer(cell, rep))
-			a.SetObserver(j.RoundObserver(cell, rep))
-		}
-		a.Sim().SetStepTimer(composeTimers(timers))
+		label = "fluid"
 	default:
-		// Backends without phase hooks (Sequential, external
-		// implementations) still get round accounting when observable.
-		o, ok := d.(Observable)
-		if !ok {
-			return
-		}
-		if reg != nil {
-			o.SetObserver(obs.NewRoundMetrics(reg, "sequential").Observer())
-		}
-		if j != nil {
-			o.SetObserver(j.RoundObserver(cell, rep))
+		label = "sequential"
+	}
+	timed, isTimed := d.(Timed)
+	var timer core.StepTimer
+	if reg != nil {
+		if isTimed {
+			em := obs.NewEngineMetrics(reg, label)
+			timer = em.StepTimer()
+			o.SetObserver(em.Observer())
+		} else {
+			o.SetObserver(obs.NewRoundMetrics(reg, label).Observer())
 		}
 	}
-}
-
-// composeTimers chains same-typed timing hooks, returning nil for an
-// empty set so the engines keep their timestamp-free disabled path.
-func composeTimers[T any](fns []func(T)) func(T) {
-	switch len(fns) {
-	case 0:
-		return nil
-	case 1:
-		return fns[0]
-	}
-	return func(t T) {
-		for _, fn := range fns {
-			fn(t)
+	if j != nil {
+		if isTimed {
+			timer = core.ComposeStepTimers(timer, j.StepTimer(cell, rep, label))
 		}
+		o.SetObserver(j.RoundObserver(cell, rep))
+	}
+	if isTimed {
+		timed.SetStepTimer(timer)
 	}
 }

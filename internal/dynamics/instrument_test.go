@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"congame/internal/core"
@@ -80,26 +82,18 @@ func TestInstrumentPreservesTrajectory(t *testing.T) {
 
 	backends := []struct {
 		name    string
+		label   string
 		workers []int
 		mk      func(t *testing.T, workers int) Dynamics
 	}{
-		{"engine", workerCounts, func(t *testing.T, w int) Dynamics {
-			inst := newTestInstance(t, 17)
-			im, err := core.NewImitation(inst.Game, core.ImitationConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			e, err := core.NewEngine(inst.State, im, core.WithSeed(17), core.WithWorkers(w))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return FromEngine(e)
+		{"engine", "core", workerCounts, func(t *testing.T, w int) Dynamics {
+			return newCoreDyn(t, 17, w)
 		}},
-		{"weighted", workerCounts, func(t *testing.T, w int) Dynamics {
+		{"weighted", "weighted", workerCounts, func(t *testing.T, w int) Dynamics {
 			return newWeightedDyn(t, w)
 		}},
 		// The fluid backend has no worker axis; one variant suffices.
-		{"fluid", []int{1}, func(t *testing.T, _ int) Dynamics {
+		{"fluid", "fluid", []int{1}, func(t *testing.T, _ int) Dynamics {
 			return FromFluid(fluidTestSim(t, 4), 0)
 		}},
 	}
@@ -124,22 +118,11 @@ func TestInstrumentPreservesTrajectory(t *testing.T) {
 				if err := j.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				if buf.Len() == 0 {
-					t.Error("journal stayed empty over an instrumented run")
-				}
+				checkPhaseRows(t, buf.Bytes(), be.label, rounds)
 				// The registry accumulated the run: the backend's round
 				// counter (idempotent re-registration hands back the same
 				// series) must have counted every step exactly once.
-				var rm *obs.RoundMetrics
-				switch be.name {
-				case "engine":
-					rm = obs.NewEngineMetrics(reg, "core").RoundMetrics
-				case "weighted":
-					rm = obs.NewEngineMetrics(reg, "weighted").RoundMetrics
-				case "fluid":
-					rm = obs.NewFluidMetrics(reg).RoundMetrics
-				}
-				if got := rm.Rounds.Value(); got != rounds {
+				if got := obs.NewEngineMetrics(reg, be.label).Rounds.Value(); got != rounds {
 					t.Errorf("registry counted %d rounds, want %d", got, rounds)
 				}
 			})
@@ -147,33 +130,94 @@ func TestInstrumentPreservesTrajectory(t *testing.T) {
 	}
 }
 
-// TestInstrumentedEngineStepZeroAllocs extends the engine's steady-state
-// zero-allocation contract to the fully instrumented round: per-phase
-// histograms, round counters, and an NDJSON journal all ride the hot
-// path without allocating (time.Now, atomic updates, and the journal's
-// reused scratch buffer are allocation-free once warm).
-func TestInstrumentedEngineStepZeroAllocs(t *testing.T) {
-	inst := newTestInstance(t, 23)
+// checkPhaseRows pins the journal's phase-row schema, which every backend
+// shares: one phase row per round, carrying exactly the five
+// core.StepTimings keys and the backend's label, written immediately
+// before the round row with the same index.
+func checkPhaseRows(t *testing.T, journal []byte, label string, rounds int) {
+	t.Helper()
+	wantKeys := []string{"apply_s", "decide_s", "pre_round_s", "step_s", "sync_s"}
+	var prev map[string]any
+	phases := 0
+	for _, line := range bytes.Split(bytes.TrimSpace(journal), []byte("\n")) {
+		var row map[string]any
+		if err := json.Unmarshal(line, &row); err != nil {
+			t.Fatalf("invalid journal line %q: %v", line, err)
+		}
+		switch row["t"] {
+		case "phase":
+			phases++
+			if row["backend"] != label {
+				t.Errorf("phase row backend = %v, want %s: %s", row["backend"], label, line)
+			}
+			var keys []string
+			for k := range row {
+				if strings.HasSuffix(k, "_s") {
+					keys = append(keys, k)
+				}
+			}
+			slices.Sort(keys)
+			if !slices.Equal(keys, wantKeys) {
+				t.Errorf("phase row keys = %v, want %v: %s", keys, wantKeys, line)
+			}
+		case "round":
+			if prev == nil || prev["t"] != "phase" || prev["round"] != row["round"] {
+				t.Errorf("round row %s not preceded by its phase row (previous row %v)", line, prev)
+			}
+		}
+		prev = row
+	}
+	if phases != rounds {
+		t.Errorf("journal has %d phase rows, want %d", phases, rounds)
+	}
+}
+
+// newCoreDyn builds a deterministic core-engine adapter.
+func newCoreDyn(t *testing.T, seed uint64, workers int) *Engine {
+	t.Helper()
+	inst := newTestInstance(t, seed)
 	im, err := core.NewImitation(inst.Game, core.ImitationConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := core.NewEngine(inst.State, im, core.WithSeed(23), core.WithWorkers(1))
+	e, err := core.NewEngine(inst.State, im, core.WithSeed(seed), core.WithWorkers(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := FromEngine(e)
-	reg := obs.NewRegistry()
-	j := obs.NewJournal(io.Discard)
-	Instrument(d, reg, j, 0, 0)
-	for i := 0; i < 8; i++ {
-		d.Step()
+	return FromEngine(e)
+}
+
+// TestInstrumentedEngineStepZeroAllocs extends the steady-state
+// zero-allocation contract to the fully instrumented round on every
+// phase-timed backend: per-phase histograms, round counters, an NDJSON
+// journal, and (weighted, fluid) the adapter's timer bridge all ride the
+// hot path without allocating (time.Now, atomic updates, and the
+// journal's reused scratch buffer are allocation-free once warm).
+func TestInstrumentedEngineStepZeroAllocs(t *testing.T) {
+	backends := []struct {
+		name string
+		mk   func(t *testing.T) Dynamics
+	}{
+		{"core", func(t *testing.T) Dynamics { return newCoreDyn(t, 23, 1) }},
+		{"weighted", func(t *testing.T) Dynamics { return newWeightedDyn(t, 1) }},
+		{"fluid", func(t *testing.T) Dynamics { return FromFluid(fluidTestSim(t, 4), 0) }},
 	}
-	if allocs := testing.AllocsPerRun(20, func() { d.Step() }); allocs != 0 {
-		t.Fatalf("instrumented engine step allocated %.1f times per round, want 0", allocs)
-	}
-	if err := j.Err(); err != nil {
-		t.Fatal(err)
+	for _, be := range backends {
+		t.Run(be.name, func(t *testing.T) {
+			d := be.mk(t)
+			reg := obs.NewRegistry()
+			j := obs.NewJournal(io.Discard)
+			Instrument(d, reg, j, 0, 0)
+			for i := 0; i < 8; i++ {
+				d.Step()
+			}
+			if allocs := testing.AllocsPerRun(20, func() { d.Step() }); allocs != 0 {
+				t.Fatalf("instrumented %s step allocated %.1f times per round, want 0", be.name, allocs)
+			}
+			if err := j.Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

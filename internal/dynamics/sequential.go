@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"congame/internal/baseline"
-	"congame/internal/core"
 	"congame/internal/eq"
 	"congame/internal/game"
 )
@@ -36,7 +35,9 @@ type Sequential struct {
 	moves       int
 	absorbed    bool
 	err         error
-	obs         []core.RoundObserver
+	// roundHooks' observers see every executed activation; absorbed or
+	// failed no-op Steps are not reported, matching the activation count.
+	roundHooks
 }
 
 var _ Dynamics = (*Sequential)(nil)
@@ -129,16 +130,6 @@ func (s *Sequential) Absorbed() bool { return s.absorbed }
 // failed Sequential stops stepping.
 func (s *Sequential) Err() error { return s.err }
 
-// SetObserver implements Observable: the observer sees the RoundStats of
-// every executed activation (absorbed or failed no-op Steps are not
-// reported, matching the activation count). Repeated calls attach
-// additional observers, like core.Engine.AddObserver.
-func (s *Sequential) SetObserver(obs core.RoundObserver) {
-	if obs != nil {
-		s.obs = append(s.obs, obs)
-	}
-}
-
 // Potential recomputes the exact Rosenthal potential of the current state.
 func (s *Sequential) Potential() float64 { return s.st.Potential() }
 
@@ -177,9 +168,7 @@ func (s *Sequential) Step() RoundStats {
 		s.moves++
 		stats.Movers = 1
 	}
-	for _, obs := range s.obs {
-		obs.Observe(core.RoundStats(stats))
-	}
+	s.emit(stats)
 	return stats
 }
 

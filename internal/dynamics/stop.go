@@ -16,9 +16,9 @@ func FromCore(cs core.StopCondition) StopCondition {
 	return func(d Dynamics, r RoundStats) bool {
 		switch a := d.(type) {
 		case *Engine:
-			return cs(a.CurrentSnapshot(), core.RoundStats(r))
+			return cs(a.CurrentSnapshot(), r)
 		case *Sequential:
-			return cs(a.State(), core.RoundStats(r))
+			return cs(a.State(), r)
 		default:
 			return false
 		}

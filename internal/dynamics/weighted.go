@@ -20,20 +20,19 @@ type Weighted struct {
 	// NaN. Caching kills the per-round type-switch fold and allocation
 	// LinearPotential would otherwise pay inside every Step.
 	slopes []float64
-	obs    []core.RoundObserver
+	// moves counts migrations over every round stepped through the
+	// adapter (RunResult.TotalMoves).
+	moves int
+	roundHooks
 }
 
 var _ Dynamics = (*Weighted)(nil)
 var _ Observable = (*Weighted)(nil)
+var _ Timed = (*Weighted)(nil)
 
-// SetObserver implements Observable: the observer sees the RoundStats of
-// every executed weighted round. Repeated calls attach additional
-// observers, like core.Engine.AddObserver.
-func (a *Weighted) SetObserver(obs core.RoundObserver) {
-	if obs != nil {
-		a.obs = append(a.obs, obs)
-	}
-}
+// SetStepTimer implements Timed with the weighted engine's phase timings
+// (see weighted.Engine.SetStepTimer).
+func (a *Weighted) SetStepTimer(t core.StepTimer) { a.e.SetStepTimer(a.setTimer(t)) }
 
 // FromWeighted wraps a weighted engine.
 func FromWeighted(e *weighted.Engine) *Weighted {
@@ -68,6 +67,7 @@ func (a *Weighted) Potential() float64 {
 func (a *Weighted) Step() RoundStats {
 	round := a.e.Round()
 	moves := a.e.Step()
+	a.moves += moves
 	st := a.e.State()
 	stats := RoundStats{
 		Round:      round,
@@ -77,9 +77,7 @@ func (a *Weighted) Step() RoundStats {
 		AvgLatency: st.AvgLatency(),
 		MaxLatency: st.MaxLatency(),
 	}
-	for _, obs := range a.obs {
-		obs.Observe(core.RoundStats(stats))
-	}
+	a.emit(stats)
 	return stats
 }
 
@@ -100,19 +98,17 @@ func (a *Weighted) currentStats() RoundStats {
 // out, with the same probe order as weighted.Engine.Run.
 func (a *Weighted) Run(maxRounds int, stop StopCondition) RunResult {
 	if stop != nil && stop(a, a.currentStats()) {
-		return RunResult{Rounds: 0, Converged: true, Final: a.currentStats()}
+		return RunResult{Rounds: 0, Converged: true, TotalMoves: a.moves, Final: a.currentStats()}
 	}
 	if maxRounds <= 0 {
-		return RunResult{Rounds: 0, Converged: false, Final: a.currentStats()}
+		return RunResult{Rounds: 0, Converged: false, TotalMoves: a.moves, Final: a.currentStats()}
 	}
-	moves := 0
 	var last RoundStats
 	for r := 1; r <= maxRounds; r++ {
 		last = a.Step()
-		moves += last.Movers
 		if stop != nil && stop(a, last) {
-			return RunResult{Rounds: r, Converged: true, TotalMoves: moves, Final: last}
+			return RunResult{Rounds: r, Converged: true, TotalMoves: a.moves, Final: last}
 		}
 	}
-	return RunResult{Rounds: maxRounds, Converged: false, TotalMoves: moves, Final: last}
+	return RunResult{Rounds: maxRounds, Converged: false, TotalMoves: a.moves, Final: last}
 }

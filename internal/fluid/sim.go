@@ -68,25 +68,18 @@ type Sim struct {
 	roundPrev           []float64 // state at the start of the current round
 	dw                  derivWorkspace
 
-	timer func(StepTimings)
+	timer func(core.StepTimings)
 }
 
-// StepTimings carries the wall-clock durations of one fluid Step's
-// phases: Integrate covers the substepped ODE integration, Potential the
-// incremental Simpson potential update, and Step the whole round
-// including the stats fold. The mirror of core.StepTimings for the
-// mean-field backend.
-type StepTimings struct {
-	Integrate time.Duration
-	Potential time.Duration
-	Step      time.Duration
-}
-
-// SetStepTimer installs (or, with nil, removes) a per-round phase timer.
-// It runs synchronously after each Step; with none installed the round
-// takes no timestamps (nil checks only), and the timed round stays on the
+// SetStepTimer installs (or, with nil, removes) a per-round phase timer
+// reporting in the exact engine's phase record: Decide covers the
+// substepped ODE integration (the mean-field decide step), Apply the
+// incremental Simpson potential fold, and Step the whole round including
+// the stats fold; PreRound and Sync stay zero. The timer runs
+// synchronously after each Step; with none installed the round takes no
+// timestamps (nil checks only), and the timed round stays on the
 // zero-allocation path.
-func (s *Sim) SetStepTimer(fn func(StepTimings)) { s.timer = fn }
+func (s *Sim) SetStepTimer(fn func(core.StepTimings)) { s.timer = fn }
 
 // Population returns the absolute player population n the system's
 // latency functions are scaled by (systems built with FromGame), or
@@ -159,7 +152,7 @@ func (s *Sim) MigrationMass() float64 { return s.moveMass }
 // nothing.
 func (s *Sim) Step() RoundStats {
 	var (
-		t     StepTimings
+		t     core.StepTimings
 		start time.Time
 		mark  time.Time
 	)
@@ -185,7 +178,7 @@ func (s *Sim) Step() RoundStats {
 	}
 	if s.timer != nil {
 		now := time.Now()
-		t.Integrate = now.Sub(mark)
+		t.Decide = now.Sub(mark)
 		mark = now
 	}
 	// Incremental potential: ΔΦ = Σ_e ∫_{y_e}^{y'_e} ℓ_e(u) du over the
@@ -197,7 +190,7 @@ func (s *Sim) Step() RoundStats {
 		}
 	}
 	if s.timer != nil {
-		t.Potential = time.Since(mark)
+		t.Apply = time.Since(mark)
 	}
 	s.moveMass = move
 	s.round++

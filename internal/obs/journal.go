@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"congame/internal/core"
-	"congame/internal/fluid"
-	"congame/internal/weighted"
 )
 
 // Journal appends structured NDJSON events — one JSON object per line —
@@ -171,14 +169,14 @@ func (j *Journal) Round(cell, rep int, s core.RoundStats) {
 	j.emitLocked()
 }
 
-// Phase journals one round's phase timings for a discrete core engine.
-func (j *Journal) Phase(cell, rep int, backend string, round int, t core.StepTimings) {
-	j.phase(cell, rep, backend, round,
-		[...]string{"pre_round", "sync", "decide", "apply", "step"},
-		[...]time.Duration{t.PreRound, t.Sync, t.Decide, t.Apply, t.Step})
-}
+// phaseKeys are the phase row's duration fields, in core.StepTimings
+// order.
+var phaseKeys = [...]string{`,"pre_round_s":`, `,"sync_s":`, `,"decide_s":`, `,"apply_s":`, `,"step_s":`}
 
-func (j *Journal) phase(cell, rep int, backend string, round int, names [5]string, durs [5]time.Duration) {
+// Phase journals one round's phase timings. Every backend reports in
+// the one core.StepTimings record, so every phase row carries the same
+// five keys (phases a backend does not have read 0).
+func (j *Journal) Phase(cell, rep int, backend string, round int, t core.StepTimings) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	buf := append(j.buf[:0], `{"t":"phase"`...)
@@ -187,14 +185,9 @@ func (j *Journal) phase(cell, rep int, backend string, round int, names [5]strin
 	buf = appendJSONString(buf, backend)
 	buf = append(buf, `,"round":`...)
 	buf = strconv.AppendInt(buf, int64(round), 10)
-	for i, name := range names {
-		if name == "" {
-			continue
-		}
-		buf = append(buf, ',', '"')
-		buf = append(buf, name...)
-		buf = append(buf, `_s":`...)
-		buf = appendFloat(buf, durs[i].Seconds())
+	for i, d := range [...]time.Duration{t.PreRound, t.Sync, t.Decide, t.Apply, t.Step} {
+		buf = append(buf, phaseKeys[i]...)
+		buf = appendFloat(buf, d.Seconds())
 	}
 	j.buf = append(buf, '}')
 	j.emitLocked()
@@ -219,31 +212,6 @@ func (j *Journal) RoundObserver(cell, rep int) core.RoundObserver {
 func (j *Journal) StepTimer(cell, rep int, backend string) core.StepTimer {
 	return func(s core.RoundStats, t core.StepTimings) {
 		j.Phase(cell, rep, backend, s.Round, t)
-	}
-}
-
-// WeightedStepTimer returns the weighted engine's timing hook journaling
-// phase rows; the round index is maintained locally (the weighted hook
-// does not carry stats).
-func (j *Journal) WeightedStepTimer(cell, rep int) func(weighted.StepTimings) {
-	round := 0
-	return func(t weighted.StepTimings) {
-		j.phase(cell, rep, "weighted", round,
-			[...]string{"sync", "decide", "apply", "step", ""},
-			[...]time.Duration{t.Snapshot, t.Decide, t.Apply, t.Step, 0})
-		round++
-	}
-}
-
-// FluidStepTimer returns the fluid simulator's timing hook journaling
-// phase rows.
-func (j *Journal) FluidStepTimer(cell, rep int) func(fluid.StepTimings) {
-	round := 0
-	return func(t fluid.StepTimings) {
-		j.phase(cell, rep, "fluid", round,
-			[...]string{"integrate", "potential", "step", "", ""},
-			[...]time.Duration{t.Integrate, t.Potential, t.Step, 0, 0})
-		round++
 	}
 }
 

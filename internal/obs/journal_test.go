@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"congame/internal/core"
-	"congame/internal/fluid"
-	"congame/internal/weighted"
 )
 
 func decodeLines(t *testing.T, data []byte) []map[string]any {
@@ -94,29 +92,32 @@ func TestJournalObserverAndTimers(t *testing.T) {
 	j := NewJournal(&buf)
 	j.RoundObserver(2, 0).Observe(core.RoundStats{Round: 9, Players: 4})
 	j.StepTimer(2, 0, "core")(core.RoundStats{Round: 9}, core.StepTimings{Sync: time.Microsecond})
-	wt := j.WeightedStepTimer(-1, -1)
-	wt(weighted.StepTimings{Snapshot: time.Millisecond})
-	wt(weighted.StepTimings{})
-	ft := j.FluidStepTimer(-1, -1)
-	ft(fluid.StepTimings{Integrate: time.Millisecond})
+	j.StepTimer(-1, -1, "weighted")(core.RoundStats{Round: 4}, core.StepTimings{Sync: time.Millisecond})
+	j.StepTimer(-1, -1, "fluid")(core.RoundStats{Round: 5}, core.StepTimings{Decide: time.Millisecond})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 	lines := decodeLines(t, buf.Bytes())
-	if len(lines) != 5 {
-		t.Fatalf("got %d lines, want 5", len(lines))
+	if len(lines) != 4 {
+		t.Fatalf("got %d lines, want 4", len(lines))
 	}
 	if lines[1]["sync_s"] != 1e-6 {
 		t.Errorf("core phase row wrong: %v", lines[1])
 	}
-	if lines[2]["backend"] != "weighted" || lines[2]["sync_s"] != 0.001 || lines[2]["round"] != 0.0 {
+	if lines[2]["backend"] != "weighted" || lines[2]["sync_s"] != 0.001 || lines[2]["round"] != 4.0 {
 		t.Errorf("weighted phase row wrong: %v", lines[2])
 	}
-	if lines[3]["round"] != 1.0 {
-		t.Errorf("weighted timer must advance its round: %v", lines[3])
+	if lines[3]["backend"] != "fluid" || lines[3]["decide_s"] != 0.001 || lines[3]["round"] != 5.0 {
+		t.Errorf("fluid phase row wrong: %v", lines[3])
 	}
-	if lines[4]["backend"] != "fluid" || lines[4]["integrate_s"] != 0.001 {
-		t.Errorf("fluid phase row wrong: %v", lines[4])
+	// One record, one schema: every phase row carries all five phases,
+	// whichever backend wrote it and whichever phases it filled.
+	for _, row := range lines[1:] {
+		for _, k := range []string{"pre_round_s", "sync_s", "decide_s", "apply_s", "step_s"} {
+			if _, ok := row[k]; !ok {
+				t.Errorf("%v phase row lacks %s: %v", row["backend"], k, row)
+			}
+		}
 	}
 }
 

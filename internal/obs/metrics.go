@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"congame/internal/core"
-	"congame/internal/fluid"
-	"congame/internal/weighted"
-)
+import "congame/internal/core"
 
 // DefTimeBuckets is the default bucket layout for phase and job duration
 // histograms: log-spaced from 1µs to 10s, wide enough to span both a
@@ -50,9 +46,10 @@ func (o roundMetricsObserver) Observe(s core.RoundStats) {
 // mutates engine state and never allocates per round.
 func (m *RoundMetrics) Observer() core.RoundObserver { return roundMetricsObserver{m} }
 
-// EngineMetrics instruments a discrete engine (core or weighted): the
-// shared round counters plus one duration histogram per Step phase in the
-// family engine_phase_seconds{backend=...,phase=...}.
+// EngineMetrics instruments any backend that reports core.StepTimings
+// (core, weighted, fluid): the shared round counters plus one duration
+// histogram per Step phase in the family
+// engine_phase_seconds{backend=...,phase=...}.
 type EngineMetrics struct {
 	*RoundMetrics
 	PreRound *Histogram
@@ -62,8 +59,8 @@ type EngineMetrics struct {
 	Step     *Histogram
 }
 
-// NewEngineMetrics registers the discrete-engine metric set for one
-// backend label ("core", "weighted", ...).
+// NewEngineMetrics registers the phase-timed metric set for one backend
+// label ("core", "weighted", "fluid").
 func NewEngineMetrics(r *Registry, backend string) *EngineMetrics {
 	phase := func(name string) *Histogram {
 		return r.Histogram("engine_phase_seconds", "Wall-clock seconds per engine step phase.",
@@ -88,50 +85,6 @@ func (m *EngineMetrics) StepTimer() core.StepTimer {
 		m.Sync.ObserveDuration(t.Sync)
 		m.Decide.ObserveDuration(t.Decide)
 		m.Apply.ObserveDuration(t.Apply)
-		m.Step.ObserveDuration(t.Step)
-	}
-}
-
-// WeightedStepTimer adapts the phase histograms to the weighted engine's
-// timing hook; the snapshot phase (latency cache fill) lands in the Sync
-// histogram, its role in the core engine.
-func (m *EngineMetrics) WeightedStepTimer() func(weighted.StepTimings) {
-	return func(t weighted.StepTimings) {
-		m.Sync.ObserveDuration(t.Snapshot)
-		m.Decide.ObserveDuration(t.Decide)
-		m.Apply.ObserveDuration(t.Apply)
-		m.Step.ObserveDuration(t.Step)
-	}
-}
-
-// FluidMetrics instruments the mean-field backend: round counters plus
-// per-phase histograms for the integrator and the potential fold.
-type FluidMetrics struct {
-	*RoundMetrics
-	Integrate *Histogram
-	Potential *Histogram
-	Step      *Histogram
-}
-
-// NewFluidMetrics registers the fluid metric set.
-func NewFluidMetrics(r *Registry) *FluidMetrics {
-	phase := func(name string) *Histogram {
-		return r.Histogram("engine_phase_seconds", "Wall-clock seconds per engine step phase.",
-			DefTimeBuckets, L("backend", "fluid"), L("phase", name))
-	}
-	return &FluidMetrics{
-		RoundMetrics: NewRoundMetrics(r, "fluid"),
-		Integrate:    phase("integrate"),
-		Potential:    phase("potential"),
-		Step:         phase("step"),
-	}
-}
-
-// StepTimer returns the fluid timing hook feeding the phase histograms.
-func (m *FluidMetrics) StepTimer() func(fluid.StepTimings) {
-	return func(t fluid.StepTimings) {
-		m.Integrate.ObserveDuration(t.Integrate)
-		m.Potential.ObserveDuration(t.Potential)
 		m.Step.ObserveDuration(t.Step)
 	}
 }

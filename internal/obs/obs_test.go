@@ -82,6 +82,23 @@ func TestRegistryIdempotentAndConcurrent(t *testing.T) {
 	if got := a.Value(); got != 8000 {
 		t.Fatalf("concurrent Inc lost updates: %d", got)
 	}
+
+	// Concurrent FIRST registrations (parallel replications instrumenting
+	// a fresh registry) must all get the one collector.
+	hs := make([]*Histogram, 8)
+	for i := range hs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			hs[i] = r.Histogram("y_seconds", "y", DefTimeBuckets, L("k", "v"))
+		}()
+	}
+	wg.Wait()
+	for _, h := range hs {
+		if h == nil || h != hs[0] {
+			t.Fatal("concurrent first registrations returned different histograms")
+		}
+	}
 }
 
 func TestRegistryPanics(t *testing.T) {
@@ -183,7 +200,7 @@ func TestMetricSetsRegisterCleanly(t *testing.T) {
 		t.Fatal("re-registering the same backend must share series")
 	}
 	NewEngineMetrics(r, "weighted")
-	NewFluidMetrics(r)
+	NewEngineMetrics(r, "fluid")
 	NewRunnerMetrics(r)
 	NewSweepMetrics(r)
 	em.StepTimer()(core.RoundStats{}, core.StepTimings{Step: time.Millisecond})

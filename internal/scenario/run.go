@@ -136,6 +136,7 @@ func Run(ctx context.Context, spec *Spec, opts Options) (*Result, error) {
 	if opts.Registry != nil {
 		sm = obs.NewSweepMetrics(opts.Registry)
 		sm.CellsTotal.Set(float64(len(cells)))
+		sm.RunComplete.Set(0) // the registry may still hold an earlier run's 1
 		runner.SetMetrics(obs.NewRunnerMetrics(opts.Registry))
 	}
 	if opts.Journal != nil {

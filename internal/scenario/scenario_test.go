@@ -2,10 +2,12 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"congame/internal/events"
+	"congame/internal/obs"
 	"congame/internal/prng"
 )
 
@@ -380,6 +382,28 @@ func TestSequentialDynamicsRun(t *testing.T) {
 	}
 	if res.Cells[0].Agg.Converged == 0 {
 		t.Error("best response never went quiet on a 32-player singleton game")
+	}
+}
+
+// TestRunResetsCompleteGauge: on a registry shared across runs (the
+// daemon's), sweep_run_complete describes the latest run, so a run that
+// fails after an earlier one completed leaves it at 0.
+func TestRunResetsCompleteGauge(t *testing.T) {
+	reg := obs.NewRegistry()
+	gauge := obs.NewSweepMetrics(reg).RunComplete
+	if _, err := Run(context.Background(), minimalSpec(), Options{Registry: reg}); err != nil {
+		t.Fatal(err)
+	}
+	if got := gauge.Value(); got != 1 {
+		t.Fatalf("sweep_run_complete = %g after a completed run, want 1", got)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Run(ctx, minimalSpec(), Options{Registry: reg}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run returned %v, want context.Canceled", err)
+	}
+	if got := gauge.Value(); got != 0 {
+		t.Errorf("sweep_run_complete = %g after a failed run, want 0", got)
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"congame/internal/core"
 	"congame/internal/latency"
 	"congame/internal/prng"
 )
@@ -370,25 +371,17 @@ type Engine struct {
 	linkLat []float64     // per-round cache of ℓ_e(W_e)
 	targets []int32       // reusable decision buffer
 	blocks  []*prng.Block // one batched PRNG block per worker
-	timer   func(StepTimings)
+	timer   func(core.StepTimings)
 }
 
-// StepTimings carries the wall-clock durations of one weighted Step's
-// phases: Snapshot covers the per-round link-latency cache fill (the
-// weighted analogue of the RoundView sync), Decide the sharded decision
-// pass, Apply the sequential move loop, and Step the whole round. The
-// mirror of core.StepTimings for the weighted backend.
-type StepTimings struct {
-	Snapshot time.Duration
-	Decide   time.Duration
-	Apply    time.Duration
-	Step     time.Duration
-}
-
-// SetStepTimer installs (or, with nil, removes) a per-round phase timer.
-// It runs synchronously after each Step; with none installed the round
-// takes no timestamps (nil checks only).
-func (e *Engine) SetStepTimer(fn func(StepTimings)) { e.timer = fn }
+// SetStepTimer installs (or, with nil, removes) a per-round phase timer
+// reporting in the exact engine's phase record: Sync covers the per-round
+// link-latency cache fill (the weighted analogue of the RoundView sync),
+// Decide the sharded decision pass, Apply the sequential move loop, and
+// Step the whole round; PreRound stays zero (the weighted engine has no
+// pre-round hook). The timer runs synchronously after each Step; with
+// none installed the round takes no timestamps (nil checks only).
+func (e *Engine) SetStepTimer(fn func(core.StepTimings)) { e.timer = fn }
 
 // Option configures an Engine.
 type Option func(*Engine)
@@ -529,7 +522,7 @@ func (e *Engine) decidePlayerCursor(i, n int, cur *prng.Cursor, nu, scale float6
 // Step executes one concurrent round and returns the number of migrations.
 func (e *Engine) Step() int {
 	var (
-		t     StepTimings
+		t     core.StepTimings
 		start time.Time
 		mark  time.Time
 	)
@@ -552,7 +545,7 @@ func (e *Engine) Step() int {
 	e.targets = e.targets[:n]
 	if e.timer != nil {
 		now := time.Now()
-		t.Snapshot = now.Sub(mark)
+		t.Sync = now.Sub(mark)
 		mark = now
 	}
 	workers := e.workers
